@@ -43,7 +43,7 @@ final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin
     *    enters). The bias is at most `rFloorFrac` of the per-cluster average
     *    mass per dropped cluster, and `1/p ≤ N^Q/rFloorFrac` afterwards.
     */
-  def covering(q: RangeQuery): (Vector[ClusterMeta], Vector[Double]) = {
+  def covering(q: RangeQuery): DataProvider.Covering = {
     val cq = meta.coveringClusters(q)
     val rs = meta.proportions(cq, q)
     val pos = cq.zip(rs).filter(_._2 > 0.0)
@@ -56,8 +56,13 @@ final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin
   /** Allocation-phase summary (Eq 5): `Ñ^Q` and `Ãvg(R̂)`, each perturbed
     * with half of the ε^O budget.
     */
-  def summary(q: RangeQuery, epsO: Double, lap: Laplace): ProviderSummary = {
-    val (cq, rs) = covering(q)
+  def summary(q: RangeQuery, epsO: Double, lap: Laplace): ProviderSummary =
+    summary(q, covering(q), epsO, lap)
+
+  /** [[summary]] over a precomputed `covering(q)`. */
+  def summary(q: RangeQuery, cov: DataProvider.Covering, epsO: Double,
+              lap: Laplace): ProviderSummary = {
+    val (cq, rs) = cov
     val avg = if (cq.isEmpty) 0.0 else rs.sum / cq.size
     val dAvg = Sensitivity.deltaAvgR(meta.S, q.nDims, nMin)
     ProviderSummary(
@@ -71,8 +76,12 @@ final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin
     * EM-sampled cluster ids together with the probabilities/proportions the
     * estimation phase needs. No data is scanned here.
     */
-  def plan(q: RangeQuery, s: Int, epsS: Double, rng: Random): SamplingPlan = {
-    val (cq, rs) = covering(q)
+  def plan(q: RangeQuery, s: Int, epsS: Double, rng: Random): SamplingPlan =
+    plan(covering(q), s, epsS, rng)
+
+  /** [[plan]] over a precomputed `covering(q)`. */
+  def plan(cov: DataProvider.Covering, s: Int, epsS: Double, rng: Random): SamplingPlan = {
+    val (cq, rs) = cov
     val nQ = cq.size
 
     if (nQ < nMin) {
@@ -129,6 +138,13 @@ final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin
         .map { case ((_, c), v) => c -> v }
     finish(q, p, qc, epsE, delta)
   }
+}
+
+object DataProvider {
+  /** Output of [[DataProvider.covering]]: the kept covering clusters `C^Q`
+    * and their approximated proportions `R̂`, index-aligned.
+    */
+  type Covering = (Vector[ClusterMeta], Vector[Double])
 }
 
 /** Output of [[DataProvider.plan]]: which clusters to scan and the sampling

@@ -39,6 +39,11 @@ final case class RunResult(answer: Double, exact: Double, relativeError: Double,
 final class Federation(val providers: Seq[DataProvider], eval: ClusterEval, val cfg: FedConfig) {
   require(providers.nonEmpty)
 
+  /** Dimensions every provider's metadata describes: the ones a query may
+    * constrain.
+    */
+  private val dimNames: Set[String] = providers.map(_.meta.dimNames.toSet).reduce(_ intersect _)
+
   /** Plain-text exact answer over the whole federation, timed. */
   def exactWithTime(q: RangeQuery): (Double, Double) = {
     val t0 = System.nanoTime()
@@ -50,9 +55,19 @@ final class Federation(val providers: Seq[DataProvider], eval: ClusterEval, val 
     *
     * @param exactBaseline optionally a precomputed `(answer, ms)` so ε
     *                      sweeps over the same query reuse one exact scan.
+    * @throws IllegalArgumentException before any provider work, when `q`
+    *         constrains a dimension the providers do not describe, `eps` is
+    *         not positive (`+∞` is allowed: no noise), or `sr` is not in (0, 1)
+    *         (the allocation's domain).
     */
   def run(q: RangeQuery, sr: Double, eps: Double, useSmc: Boolean, seed: Long,
           exactBaseline: Option[(Double, Double)] = None): RunResult = {
+    val unknown = q.ranges.map(_.dim).filterNot(dimNames)
+    require(unknown.isEmpty,
+      s"query dimension(s) ${unknown.mkString(", ")} not in the federation's dimensions " +
+        dimNames.toSeq.sorted.mkString("[", ", ", "]"))
+    require(eps > 0, s"privacy budget eps must be > 0, got $eps")
+    require(sr > 0 && sr < 1, s"sampling rate sr must be in (0, 1), got $sr")
     val rng = new Random(seed)
     val lap = new Laplace(rng)
     val epsO = cfg.hp1 * eps
@@ -60,11 +75,15 @@ final class Federation(val providers: Seq[DataProvider], eval: ClusterEval, val 
     val epsE = cfg.hp3 * eps
 
     val t0 = System.nanoTime()
-    // (1–2) summaries, (3) allocation
-    val summaries = providers.map(_.summary(q, epsO, lap))
+    // (1–2) summaries, (3) allocation; `C^Q` and `R̂` are computed once per
+    // provider and shared by its summary and its plan
+    val covs = providers.map(_.covering(q))
+    val summaries = providers.zip(covs).map { case (p, cov) => p.summary(q, cov, epsO, lap) }
     val alloc = Allocation.allocate(summaries, sr)
     // (4–5) local sampling decisions — metadata only, no scan
-    val plans = providers.map(p => p.plan(q, alloc(p.providerId), epsS, rng))
+    val plans = providers.zip(covs).map { case (p, cov) =>
+      p.plan(cov, alloc(p.providerId), epsS, rng)
+    }
     // one batched evaluation over every provider's sampled clusters: the
     // single-machine analog of the providers scanning in parallel
     val sampled = plans.map(p => p.providerId -> (p.clusterIds: Seq[Int])).toMap

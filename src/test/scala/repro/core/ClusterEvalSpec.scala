@@ -87,4 +87,53 @@ class ClusterEvalSpec extends SparkSpec {
     val total = memEval.perCluster(Map(meta.providerId -> covering), q2).values.sum
     assert(total == memEval.exactLocal(meta.providerId, q2))
   }
+
+  test("in-memory replay built from shuffled rows agrees with Spark on random queries") {
+    val shuffled = InMemoryClusterEval.fromDataFrame(fed.clustered.orderBy(rand(7)), fed.dims)
+    val rng = new scala.util.Random(5)
+    val byProvider = fed.metas.map(m => m.providerId -> m.clusters.map(_.clusterId)).toMap
+    for (i <- 1 to 8) {
+      val agg = if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure
+      // every other query is narrow on the leading dimension, so the
+      // min/max skip drops most blocks and keeps the boundary ones
+      val q =
+        if (i % 2 == 0) Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(4), agg, rng)
+        else {
+          val lb = 17 + rng.nextInt(70)
+          RangeQuery(agg, Seq(DimRange("age", lb, lb + rng.nextInt(4)), DimRange("edu", 2, 14)))
+        }
+      val sampled = byProvider.map { case (p, cs) => p -> rng.shuffle(cs).take(1 + rng.nextInt(6)) }
+      assert(shuffled.perCluster(sampled, q) == sparkEval.perCluster(sampled, q), s"query $q")
+      assert(shuffled.exactTotal(q) == sparkEval.exactTotal(q), s"query $q")
+      for (p <- byProvider.keys)
+        assert(shuffled.exactLocal(p, q) == sparkEval.exactLocal(p, q), s"provider $p query $q")
+    }
+  }
+
+  test("in-memory perCluster reports 0 for a sampled cluster id absent from the store") {
+    val absent = fed.metas.head.clusters.map(_.clusterId).max + 1000
+    val p = fed.metas.head.providerId
+    val got = memEval.perCluster(Map(p -> Seq(0, absent)), q2)
+    assert(got((p, absent)) == 0.0)
+    assert(got((p, 0)) == sparkEval.perCluster(Map(p -> Seq(0)), q2)((p, 0)))
+  }
+
+  test("in-memory evaluation reports 0 for an unknown provider id") {
+    val unknown = fed.metas.map(_.providerId).max + 1
+    assert(memEval.perCluster(Map(unknown -> Seq(0, 1)), q2) ==
+      Map((unknown, 0) -> 0.0, (unknown, 1) -> 0.0))
+    assert(memEval.exactLocal(unknown, q2) == 0.0)
+    assert(memEval.exactLocal(-1, q2) == 0.0)
+  }
+
+  test("in-memory evaluation of a query missing every cluster's min/max box is 0") {
+    val qMiss = RangeQuery(Agg.SumMeasure, Seq(DimRange("edu", 3, 12), DimRange("age", 200, 300)))
+    assert(sparkEval.exactTotal(qMiss) == 0.0)
+    assert(memEval.exactTotal(qMiss) == 0.0)
+    for (m <- fed.metas) {
+      assert(memEval.exactLocal(m.providerId, qMiss) == 0.0)
+      val got = memEval.perCluster(Map(m.providerId -> m.clusters.map(_.clusterId)), qMiss)
+      assert(got.size == m.clusters.size && got.values.forall(_ == 0.0))
+    }
+  }
 }

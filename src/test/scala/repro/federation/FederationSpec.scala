@@ -1,8 +1,12 @@
 package repro.federation
 
+import scala.util.Random
+
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.core.{Agg, DimRange, RangeQuery}
 import repro.data.Datasets
+import repro.dp.Laplace
+import repro.smc.SecretSharing
 
 /** End-to-end protocol: accuracy in the noiseless limit, determinism,
   * budget accounting, SMC/DP release equivalence, oracle-checked ground
@@ -118,5 +122,54 @@ class FederationSpec extends SparkSpec {
 
   test("invalid hyperparameter split is rejected") {
     intercept[IllegalArgumentException](FedConfig(hp1 = 0.5, hp2 = 0.5, hp3 = 0.5))
+  }
+
+  /** `Federation.run`'s answer, sequenced by hand through the public
+    * single-query methods, each of which computes `covering` itself.
+    */
+  private def handRun(q: RangeQuery, sr: Double, eps: Double, useSmc: Boolean, seed: Long): Double = {
+    val cfg = fed.cfg
+    val rng = new Random(seed)
+    val lap = new Laplace(rng)
+    val (epsO, epsS, epsE) = (cfg.hp1 * eps, cfg.hp2 * eps, cfg.hp3 * eps)
+    val summaries = fed.providers.map(_.summary(q, epsO, lap))
+    val alloc = Allocation.allocate(summaries, sr)
+    val plans = fed.providers.map(p => p.plan(q, alloc(p.providerId), epsS, rng))
+    val qcAll = TestFixtures.adultSmall.eval
+      .perCluster(plans.map(p => p.providerId -> (p.clusterIds: Seq[Int])).toMap, q)
+    val answers = fed.providers.zip(plans).map { case (p, pl) =>
+      p.finish(q, pl, pl.clusterIds.map(c => c -> qcAll((pl.providerId, c))).toMap, epsE, cfg.delta)
+    }
+    if (useSmc) {
+      val sum = SecretSharing.secureSum(answers.map(_.estimate), rng)
+      sum + lap.noise(SecretSharing.secureMax(answers.map(_.sensNumerator), rng) / epsE)
+    } else answers.map(a => a.estimate + lap.noise(a.sensNumerator / epsE)).sum
+  }
+
+  test("run computes covering once yet draws the same numbers as the single-query methods") {
+    for (seed <- Seq(21L, 22L); useSmc <- Seq(false, true); qq <- Seq(q, qSum)) {
+      val r = fed.run(qq, 0.3, 1.0, useSmc, seed, exactBaseline = Some((0.0, 0.0)))
+      assert(r.answer == handRun(qq, 0.3, 1.0, useSmc, seed), s"seed $seed smc $useSmc query $qq")
+    }
+  }
+
+  test("a query dimension unknown to the providers is rejected at the boundary") {
+    val bad = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 60), DimRange("zipcode", 1, 5)))
+    val e = intercept[IllegalArgumentException](fed.run(bad, 0.2, 1.0, useSmc = false, seed = 1))
+    assert(e.getMessage.contains("zipcode"))
+  }
+
+  test("a non-positive or NaN privacy budget is rejected at the boundary") {
+    for (eps <- Seq(0.0, -1.0, Double.NaN, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](fed.run(q, 0.2, eps, useSmc = false, seed = 1))
+      assert(e.getMessage.contains("privacy budget eps"), s"eps $eps")
+    }
+  }
+
+  test("a sampling rate outside (0, 1) or NaN is rejected at the boundary") {
+    for (sr <- Seq(0.0, -0.1, 1.0, 1.5, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](fed.run(q, sr, 1.0, useSmc = false, seed = 1))
+      assert(e.getMessage.contains("sampling rate sr"), s"sr $sr")
+    }
   }
 }
