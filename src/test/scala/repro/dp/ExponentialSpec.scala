@@ -78,6 +78,27 @@ class ExponentialSpec extends AnyFunSuite {
     assert(picked.toSet == Set(3, 1))
   }
 
+  test("ordered pairs follow the sequential-EM (Plackett-Luce) distribution") {
+    // two draws at eps/s = 1 each: P(i then j) = w_i/W * w_j/(W - w_i)
+    val scores = IndexedSeq(0.0, 1.0, 2.0)
+    val w = scores.map(s => math.exp(1.0 * s / 2.0))
+    val total = w.sum
+    val rng = new Random(12)
+    val n = 60000
+    val counts = scala.collection.mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
+    for (_ <- 1 to n) {
+      val picked = Exponential.sampleWithoutReplacement(scores, 2, 2.0, 1.0, rng)
+      counts((picked(0), picked(1))) += 1
+    }
+    val pairs = for (i <- scores.indices; j <- scores.indices if i != j) yield (i, j)
+    assert(counts.keySet.subsetOf(pairs.toSet), counts)
+    for ((i, j) <- pairs) {
+      val expected = w(i) / total * w(j) / (total - w(i))
+      val freq = counts((i, j)).toDouble / n
+      assert(math.abs(freq - expected) < 0.01, s"pair ($i,$j): $freq vs $expected")
+    }
+  }
+
   test("biased-but-random: high-probability clusters appear more often across runs") {
     val scores = IndexedSeq(0.05, 0.05, 0.05, 0.85)
     val rng = new Random(9)
