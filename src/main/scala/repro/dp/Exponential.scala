@@ -6,53 +6,43 @@ import scala.util.Random
   * of Algorithm 2.
   *
   * A draw selects index `i` with probability proportional to
-  * `exp(ε·L(i) / (2·Δ_L))`. Weights are computed with the max-subtracted
-  * softmax trick so large `score/Δ` ratios cannot overflow.
+  * `exp(ε·L(i) / (2·Δ_L))`. Both entry points draw through Gumbel keys
+  * `ε·L(i)/(2·Δ_L) + Gumbel(0,1)`: the argmax of the keys is one EM draw, and
+  * the top `k` keys in order are `k` sequential EM draws without replacement
+  * (Plackett–Luce; Durfee & Rogers, NeurIPS 2019). Keys stay in log space,
+  * so large `score/Δ` ratios cannot overflow.
   */
 object Exponential {
 
-  /** One ε-DP draw from `scores`. `ε = ∞` degenerates to argmax (noiseless
-    * selection), which tests use to pin down the scoring function.
+  /** One Gumbel key per score. At `ε = ∞` the keys are the raw scores and
+    * no random number is drawn (noiseless selection, which tests use to pin
+    * down the scoring function).
     */
+  private def keys(scores: IndexedSeq[Double], eps: Double, sensitivity: Double,
+                   rng: Random): Array[Double] =
+    if (eps.isPosInfinity) scores.toArray
+    else scores.iterator.map(s =>
+      eps * s / (2.0 * sensitivity) - math.log(-math.log(rng.nextDouble()))).toArray
+
+  /** One ε-DP draw from `scores`. Ties go to the lowest index. */
   def select(scores: IndexedSeq[Double], eps: Double, sensitivity: Double,
              rng: Random): Int = {
     require(scores.nonEmpty, "cannot select from an empty candidate set")
-    if (eps.isPosInfinity) return scores.indices.maxBy(scores)
-    val exponents = scores.map(s => eps * s / (2.0 * sensitivity))
-    val m = exponents.max
-    val weights = exponents.map(e => math.exp(e - m))
-    val total = weights.sum
-    var r = rng.nextDouble() * total
-    var i = 0
-    while (i < weights.length - 1) {
-      r -= weights(i)
-      if (r <= 0) return i
-      i += 1
-    }
-    weights.length - 1
+    val k = keys(scores, eps, sensitivity, rng)
+    k.indices.maxBy(k)(Ordering.Double.IeeeOrdering)
   }
 
   /** Algorithm 2 (`EM_sampling`): select `s` distinct indices without
     * replacement, spending `ε^s = totalEps / s` per draw; the score of a
     * cluster is its sampling probability `p_i` (Eq 1) with sensitivity
-    * `Δp = 1/(N^min(N^min+1))` (Theorem 5.2).
+    * `Δp = 1/(N^min(N^min+1))` (Theorem 5.2). Returns the draws in order.
     */
   def sampleWithoutReplacement(scores: IndexedSeq[Double], s: Int, totalEps: Double,
                                sensitivity: Double, rng: Random): Vector[Int] = {
-    val n = scores.length
-    val k = math.min(math.max(s, 0), n)
+    val k = math.min(math.max(s, 0), scores.length)
     if (k == 0) return Vector.empty
-    val perDraw = if (totalEps.isPosInfinity) totalEps else totalEps / k
-    val remaining = scala.collection.mutable.ArrayBuffer.range(0, n)
-    val picked = Vector.newBuilder[Int]
-    var i = 0
-    while (i < k) {
-      val localScores = remaining.map(scores).toIndexedSeq
-      val j = select(localScores, perDraw, sensitivity, rng)
-      picked += remaining(j)
-      remaining.remove(j)
-      i += 1
-    }
-    picked.result()
+    val key = keys(scores, totalEps / k, sensitivity, rng)
+    // stable sort: equal keys keep ascending index order
+    key.indices.sortBy(key)(Ordering.Double.IeeeOrdering.reverse).take(k).toVector
   }
 }

@@ -27,13 +27,15 @@ object Storage {
 final case class FederationSetup(federation: Federation, eval: ClusterEval,
                                  clustered: DataFrame, dims: Seq[String], S: Int,
                                  metas: Seq[ProviderMetadata]) {
-  /** Build an in-memory evaluator over the same clustered tensor, for
-    * harnesses that replay many protocol runs without Spark jobs.
+  /** In-memory evaluator over the same clustered tensor, collected once on
+    * first use, for harnesses that replay many protocol runs without Spark
+    * jobs.
     */
-  def inMemory(cfg: FedConfig): Federation = {
-    val mem = InMemoryClusterEval.fromDataFrame(clustered, dims)
-    new Federation(metas.map(new DataProvider(_, mem, cfg.nMin, cfg.rFloorFrac)), mem, cfg)
-  }
+  lazy val replay: InMemoryClusterEval = InMemoryClusterEval.fromDataFrame(clustered, dims)
+
+  /** A federation over [[replay]] with the given configuration. */
+  def inMemory(cfg: FedConfig): Federation =
+    new Federation(metas.map(new DataProvider(_, replay, cfg.nMin, cfg.rFloorFrac)), replay, cfg)
 }
 
 /** Offline phase of the paper (§5.2) as one Spark dataflow: horizontal
@@ -76,9 +78,7 @@ object Setup {
       }
 
     // 2. per-provider count tensor, built in one pass
-    val tensor = withProvider
-      .groupBy((col(Clustering.ProviderCol) +: dims.map(col)): _*)
-      .agg(count(lit(1)).cast("long").as(Tensor.MeasureCol))
+    val tensor = Tensor.fromRows(withProvider, Clustering.ProviderCol +: dims)
 
     // 3. common cluster size S from the average provider tensor size
     val counts = tensor.groupBy(col(Clustering.ProviderCol)).agg(count(lit(1)).as("n"))
@@ -86,7 +86,7 @@ object Setup {
     val avgRows = counts.sum.toDouble / math.max(1, counts.length)
     val S = math.max(1, math.round(clusterFrac * avgRows).toInt)
 
-    val assigned = Clustering.assignPerProvider(tensor, dims, S)
+    val assigned = Clustering.assign(tensor, dims, S)
 
     // 4. materialize
     val clustered = storage match {

@@ -13,8 +13,8 @@ import repro.federation._
 import repro.attack.NbcAttack
 
 /** Shared experiment harnesses — one function per paper table/figure
-  * (DESIGN.md §5). Bench suites call them at laptop scale; `jobs/` mains
-  * expose them to spark-submit with caller-chosen scale.
+  * (DESIGN.md §5). Bench suites call them at laptop scale; `jobs/RunTable`
+  * exposes them to spark-submit with caller-chosen scale.
   *
   * Measurement split: wall-clock **speed-ups** come from parquet-backed
   * Spark runs (one per query, after a warm-up exact pass); **error and
@@ -48,15 +48,6 @@ object Tables {
     case Agg.Count      => "COUNT"
     case Agg.SumMeasure => "SUM"
   }
-
-  // one in-memory replay federation per setup, built lazily and shared
-  private val memFeds = scala.collection.concurrent.TrieMap.empty[AnyRef, Federation]
-  private def memFed(setup: FederationSetup): Federation =
-    memFeds.getOrElseUpdate(setup, setup.inMemory(setup.federation.cfg))
-
-  private val memExacts = scala.collection.concurrent.TrieMap.empty[(AnyRef, RangeQuery), Double]
-  private def memExact(setup: FederationSetup, q: RangeQuery): Double =
-    memExacts.getOrElseUpdate((setup, q), memFed(setup).exactWithTime(q)._1)
 
   /** Exact scan timed twice; the first run warms caches and codegen, the
     * second is the reported baseline.
@@ -94,10 +85,11 @@ object Tables {
     */
   private def errWorkload(setup: FederationSetup, qs: Seq[RangeQuery], sr: Double,
                           eps: Double, seed: Long): Double = {
-    val mem = memFed(setup)
-    val errs = for ((q, i) <- qs.zipWithIndex; r <- 0 until ErrReps) yield {
+    val mem = setup.inMemory(setup.federation.cfg)
+    val errs = for ((q, i) <- qs.zipWithIndex; exact = setup.replay.exactTotal(q);
+                    r <- 0 until ErrReps) yield {
       mem.run(q, sr, eps, useSmc = false, seed = seed * 1000 + i * 31 + r,
-        exactBaseline = Some((memExact(setup, q), 0.0))).relativeError
+        exactBaseline = Some((exact, 0.0))).relativeError
     }
     errs.sum / errs.size
   }
@@ -118,7 +110,7 @@ object Tables {
                         nRange: Seq[Int], m: Int, sr: Double, eps: Double = 1.0,
                         seed: Long = 7L): Seq[DimRow] = {
     val fed = setup.federation
-    memFed(setup) // hoist the big in-memory collect out of the timed region
+    setup.replay // hoist the big in-memory collect out of the timed region
     val combos = for {
       n <- nRange
       agg <- Seq(Agg.Count, Agg.SumMeasure)
@@ -145,7 +137,7 @@ object Tables {
                            srsPct: Seq[Int], m: Int, n: Int = 4, eps: Double = 1.0,
                            seed: Long = 17L): Seq[SrRow] = {
     val fed = setup.federation
-    memFed(setup)
+    setup.replay
     (for (agg <- Seq(Agg.Count, Agg.SumMeasure)) yield {
       val qs = Datasets.qualifyingWorkload(fed, dims, m, n, agg,
         seed + (if (agg == Agg.Count) 0 else 1))
@@ -171,7 +163,7 @@ object Tables {
                       epss: Seq[Double], m: Int, sr: Double, n: Int = 4,
                       seed: Long = 29L): Seq[EpsRow] = {
     val fed = setup.federation
-    memFed(setup)
+    setup.replay
     (for (agg <- Seq(Agg.Count, Agg.SumMeasure)) yield {
       val qs = Datasets.qualifyingWorkload(fed, dims, m, n, agg,
         seed + (if (agg == Agg.Count) 0 else 1))
@@ -199,7 +191,7 @@ object Tables {
               nQueries: Int = 5, sr: Double = 0.1, eps: Double = 1.0,
               seed: Long = 37L): Seq[SmcRow] = {
     val fed = setup.federation
-    val mem = memFed(setup)
+    val mem = setup.inMemory(fed.cfg)
     val qs = Datasets.qualifyingWorkload(fed, dims, nQueries, 2, Agg.Count, seed)
     (for ((q, qi) <- qs.zipWithIndex; smc <- Seq(false, true)) yield {
       val exact = exactTimed(fed, q)
@@ -273,8 +265,8 @@ object Tables {
     * Runs on [[repro.core.InMemoryClusterEval]]: the attack issues
     * `nQueries` (≈3.9k) full protocol executions per cell, whose per-cluster
     * scans are replayed in memory (identical math — DESIGN.md §3).
-    */
-  /** @return (per-cell attack accuracies, no-privacy control accuracy,
+    *
+    * @return (per-cell attack accuracies, no-privacy control accuracy,
     *          majority-class baseline — what a constant predictor scores
     *          with zero queries; the information-free floor given the
     *          skewed SA marginal)
@@ -285,9 +277,6 @@ object Tables {
     val dims = Datasets.attackQiDims :+ Datasets.attackSaDim
     val setup = Setup.build(spark, Datasets.attackRaw(spark, rows),
       dims.map(_.name), NProviders, clusterFrac = 0.01, cfg, Storage.Cached, seed = 44L)
-    val mem = repro.core.InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)
-    def fedWith(c: FedConfig): Federation =
-      new Federation(setup.metas.map(new DataProvider(_, mem, c.nMin, c.rFloorFrac)), mem, c)
 
     val attack = new NbcAttack(Datasets.attackSaDim, Datasets.attackQiDims)
 
@@ -303,7 +292,7 @@ object Tables {
       .toSeq
 
     // no-privacy control: exact answers, no sampling, no noise
-    val exactModel = attack.train(q => mem.exactTotal(q), Agg.Count)
+    val exactModel = attack.train(q => setup.replay.exactTotal(q), Agg.Count)
     val controlAcc = attack.accuracy(exactModel, truth)
 
     // information-free floor: always predict the most frequent SA value
@@ -320,7 +309,7 @@ object Tables {
       xi <- xis
     } yield {
       val b = budgetOf(xi)
-      val fedQ = fedWith(cfg.copy(delta = b.delta))
+      val fedQ = setup.inMemory(cfg.copy(delta = b.delta))
       var qIdx = 0
       val answer: RangeQuery => Double = { q =>
         qIdx += 1

@@ -15,11 +15,20 @@ import scala.util.Random
 object SecretSharing {
 
   /** Fixed-point scale: ~6 decimal digits of fraction. Query answers and
-    * sensitivities at our scales stay far below 2^63/Scale ≈ 9.2e12.
+    * sensitivities at our scales stay far below [[MaxAbs]].
     */
   val Scale: Double = 1e6
 
-  def encode(x: Double): Long = math.rint(x * Scale).toLong
+  /** Largest magnitude the fixed-point ring holds: 2^63 / Scale ≈ 9.22e12. */
+  val MaxAbs: Double = math.pow(2, 63) / Scale
+
+  /** Fixed-point encoding. Rejects |x| ≥ [[MaxAbs]] (and NaN), which would
+    * otherwise saturate in `toLong` and wrap once shares are summed.
+    */
+  def encode(x: Double): Long = {
+    require(math.abs(x) < MaxAbs, s"fixed-point overflow: |$x| must be below $MaxAbs (2^63 / Scale)")
+    math.rint(x * Scale).toLong
+  }
   def decode(l: Long): Double = l.toDouble / Scale
 
   /** Split `secret` into `n` additive shares (each uniform in Z_2^64). */
@@ -42,6 +51,8 @@ object SecretSharing {
   def secureSum(values: Seq[Double], rng: Random): Double = {
     val n = values.size
     require(n >= 2, "secure sum needs at least 2 parties")
+    require(values.map(math.abs).sum < MaxAbs,
+      s"fixed-point overflow: the inputs' magnitudes must sum below $MaxAbs (2^63 / Scale)")
     val allShares: Seq[Array[Long]] = values.map(v => share(encode(v), n, rng))
     val partialSums: Seq[Long] = (0 until n).map(j => allShares.map(_(j)).sum)
     decode(reconstruct(partialSums))

@@ -9,8 +9,11 @@ import repro.data.Datasets
 class ClusteringSpec extends SparkSpec {
 
   private val dims = Datasets.adultDims.map(_.name)
+  // one provider's tensor: a constant provider_id makes the per-provider
+  // assignment a single sort-and-chunk
   private lazy val tensor = {
-    val t = Tensor.fromRows(TestFixtures.adultRawSmall, dims).cache()
+    val t = Tensor.fromRows(TestFixtures.adultRawSmall, dims)
+      .withColumn(Clustering.ProviderCol, lit(0)).cache()
     t.count(); t
   }
 

@@ -67,6 +67,18 @@ class SecretSharingSpec extends AnyFunSuite {
     assert(math.abs(SecretSharing.secureSum(Seq(-5.5, 5.5, 0.0), rng)) < 1e-6)
   }
 
+  test("inputs beyond the fixed-point range are rejected, not wrapped") {
+    val e = intercept[IllegalArgumentException](
+      SecretSharing.secureSum(Seq(1e13, 1.0), new Random(12)))
+    assert(e.getMessage.contains("2^63 / Scale"), e.getMessage)
+    intercept[IllegalArgumentException](SecretSharing.encode(-1e13))
+    intercept[IllegalArgumentException](SecretSharing.encode(Double.NaN))
+    // two in-range inputs whose sum would leave the ring
+    intercept[IllegalArgumentException](
+      SecretSharing.secureSum(Seq(5e12, 5e12), new Random(13)))
+    assert(SecretSharing.decode(SecretSharing.encode(9e12)) == 9e12)
+  }
+
   test("secure max equals the plaintext max") {
     val rng = new Random(8)
     for (_ <- 1 to 200) {
