@@ -31,7 +31,7 @@ final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin
   def providerId: Int = meta.providerId
 
   /** `C^Q` and the approximated proportions `R̂` (Eq 1/2), from metadata
-    * only — no data scan.
+    * only — no data scan ([[repro.core.ProviderMetadata.covering]]).
     *
     * Two refinements over the raw Eq 2 box test (DESIGN.md §4):
     *  - clusters with `R = 0` are dropped: a zero per-dimension marginal
@@ -43,15 +43,7 @@ final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin
     *    enters). The bias is at most `rFloorFrac` of the per-cluster average
     *    mass per dropped cluster, and `1/p ≤ N^Q/rFloorFrac` afterwards.
     */
-  def covering(q: RangeQuery): DataProvider.Covering = {
-    val cq = meta.coveringClusters(q)
-    val rs = meta.proportions(cq, q)
-    val pos = cq.zip(rs).filter(_._2 > 0.0)
-    if (pos.isEmpty) return (Vector.empty, Vector.empty)
-    val theta = rFloorFrac * (pos.map(_._2).sum / pos.size)
-    val kept = pos.filter(_._2 >= theta)
-    (kept.map(_._1), kept.map(_._2))
-  }
+  def covering(q: RangeQuery): DataProvider.Covering = meta.covering(q, rFloorFrac)
 
   /** Allocation-phase summary (Eq 5): `Ñ^Q` and `Ãvg(R̂)`, each perturbed
     * with half of the ε^O budget.

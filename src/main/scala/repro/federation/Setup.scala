@@ -102,13 +102,8 @@ object Setup {
         spark.read.parquet(dir)
     }
 
-    // 5. Algorithm 1 metadata, per provider
-    val providerIds = clustered.select(col(Clustering.ProviderCol)).distinct()
-      .collect().map(_.getInt(0)).sorted.toSeq
-    val metas = providerIds.map { pid =>
-      Metadata.build(
-        clustered.filter(col(Clustering.ProviderCol) === pid), dims, S, pid)
-    }
+    // 5. Algorithm 1 metadata, every provider's in one pass
+    val metas = Metadata.build(clustered, dims, S)
 
     val eval = new SparkClusterEval(clustered)
     val providers = metas.map(new DataProvider(_, eval, cfg.nMin, cfg.rFloorFrac))

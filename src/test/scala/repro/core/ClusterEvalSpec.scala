@@ -83,7 +83,7 @@ class ClusterEvalSpec extends SparkSpec {
 
   test("summing perCluster over all covering clusters reproduces exactLocal") {
     val meta = fed.metas.head
-    val covering = meta.coveringClusters(q2).map(_.clusterId)
+    val covering = meta.covering(q2, rFloorFrac = 0.0)._1.map(_.clusterId)
     val total = memEval.perCluster(Map(meta.providerId -> covering), q2).values.sum
     assert(total == memEval.exactLocal(meta.providerId, q2))
   }

@@ -81,7 +81,7 @@ class DataProviderSpec extends SparkSpec {
 
   test("exact path answer equals the provider-local plain scan") {
     val q = RangeQuery(Agg.SumMeasure, Seq(DimRange("x", 10, 25)))
-    val covering = provider.meta.coveringClusters(q)
+    val (covering, _) = provider.covering(q)
     assume(covering.size < provider.nMin)
     val a = provider.answer(q, s = 1, epsS = inf, epsE = inf, delta = 1e-3, new Random(7))
     assert(a.exactPath)
@@ -111,5 +111,15 @@ class DataProviderSpec extends SparkSpec {
     val ps = provider.meta.samplingProbabilities(rs)
     assert(cq.size == 10)
     assert(math.abs(ps.sum - 1.0) < 1e-12)
+  }
+
+  test("an open upper bound Int.MaxValue covers like the domain maximum") {
+    for (lb <- Seq(0, 37, 99)) {
+      val open = provider.covering(RangeQuery(Agg.Count, Seq(DimRange("x", lb, Int.MaxValue))))
+      val closed = provider.covering(RangeQuery(Agg.Count, Seq(DimRange("x", lb, 99))))
+      assert(open._1.nonEmpty, s"lb=$lb")
+      assert(open._1.map(_.clusterId) == closed._1.map(_.clusterId), s"lb=$lb")
+      assert(open._2 == closed._2, s"lb=$lb")
+    }
   }
 }
